@@ -22,6 +22,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.objectives import Goal
+from repro.ml.flat import FlatForest, FlatTree
 from repro.service.api import QueryRequest
 from repro.service.server import AcicService
 from repro.space.characteristics import AppCharacteristics, IOInterface, OpKind
@@ -163,7 +164,7 @@ def test_flat_speedup_meets_acceptance_bar(context):
 
     The sequential side is the PR 1 baseline: ``service.handle`` walks
     ``Acic.recommend`` one query at a time.  The batched side serves the
-    same stream through the packed flat core (``use_flat`` default).
+    same stream through the packed flat core.
     Rounds interleave and each side keeps its best (min) time, so a GC
     pause or scheduler preemption cannot sink one side only.
     """
@@ -175,7 +176,8 @@ def test_flat_speedup_meets_acceptance_bar(context):
         (context.platform.name, Goal.PERFORMANCE, "cart"),
         (context.platform.name, Goal.COST, "cart"),
     ):
-        assert service._engine_for(key).engine_kind == "flat"
+        predictor = service._engine_for(key)._predictor
+        assert isinstance(predictor, (FlatTree, FlatForest))
     # Throwaway round each: engine construction, allocator and branch
     # caches warm up outside every measurement.
     service.query_batch(requests)

@@ -64,11 +64,6 @@ class SupervisorConfig:
             replicas on purpose must not fight a resurrector unless
             they asked for one.
         watch_interval_s: seconds between watchdog sweeps.
-        use_flat: thread-mode replicas serve through the packed flat
-            inference core (default) or the legacy tree walk.  Answers
-            are byte-identical either way — the mixed-fleet
-            differential test pins it — so the knob is a performance
-            choice, not a compatibility one.
     """
 
     replicas: int = 3
@@ -80,7 +75,6 @@ class SupervisorConfig:
     boot_timeout_s: float = 30.0
     auto_restart: bool = False
     watch_interval_s: float = 0.5
-    use_flat: bool = True
 
     def __post_init__(self) -> None:
         if self.replicas < 1:
@@ -202,9 +196,7 @@ class ClusterSupervisor:
     def _boot(self, name: str, port: int) -> _ThreadMember | _ProcessMember:
         platforms = tuple(self.assignments[name])
         if self.config.mode == "thread":
-            service = AcicService.load(
-                self.artifacts, platforms=platforms, use_flat=self.config.use_flat
-            )
+            service = AcicService.load(self.artifacts, platforms=platforms)
             server = AcicServer(
                 service,
                 host=self.config.host,

@@ -17,15 +17,18 @@ comparisons route to the same leaves, and the returned means are the
 same float64 values, so downstream ranking (and therefore every
 recommendation served over the wire) cannot diverge.  The packed form
 also serializes deterministically (little-endian, C-order, base64), so
-artifacts carrying it are hash-stable, and :meth:`FlatTree.to_cart`
-rebuilds the exact node tree when object form is needed again.
+artifacts storing it are hash-stable, and :meth:`FlatTree.to_cart`
+rebuilds the exact node tree when the object-form reference is needed.
 
 :class:`FlatForest` packs a fitted
 :class:`~repro.ml.forest.RandomForestRegressor` the same way, stacking
 per-tree flat predictions and averaging exactly as the object ensemble
 does.  :func:`flatten_learner` is the dispatch the serving layer uses:
-tree-shaped learners flatten, everything else returns None and keeps
-its own vectorized ``predict``.
+tree-shaped learners come back packed, everything else returns None and
+keeps its own vectorized ``predict``.  Decoded packed forms are
+untrusted input until :meth:`FlatTree.check` / :meth:`FlatForest.check`
+pass: a bad child link would otherwise loop or index out of range at
+query time.
 """
 
 from __future__ import annotations
@@ -329,6 +332,32 @@ class FlatTree:
             feature_names=tuple(names) if names else None,
         )
 
+    def check(self, width: int) -> None:
+        """Raise ValueError unless this is a well-formed preorder tree.
+
+        Requires equal-length 1-D arrays (integer-typed where they
+        index), forward child links on internal nodes (``i < left[i] <
+        right[i] < n``, so every traversal terminates inside the
+        arrays), ``LEAF`` children on leaves, and split features below
+        ``width``, the query matrix's column count.
+        """
+        arrays = self._arrays()
+        n = self.feature.size
+        if n < 1 or any(a.shape != (n,) for a in arrays.values()):
+            raise ValueError("packed tree arrays must be 1-D, non-empty, equal length")
+        if any(arrays[k].dtype.kind != "i" for k in ("feature", "left", "right")):
+            raise ValueError("packed tree feature/left/right must be integer arrays")
+        internal = self.feature != LEAF
+        if np.any(self.left[~internal] != LEAF) or np.any(self.right[~internal] != LEAF):
+            raise ValueError("packed tree leaves must have LEAF children")
+        index = np.flatnonzero(internal)
+        left, right = self.left[internal], self.right[internal]
+        if not np.all((index < left) & (left < right) & (right < n)):
+            raise ValueError("packed tree child links must satisfy i < left < right < n")
+        feature = self.feature[internal]
+        if np.any((feature < 0) | (feature >= width)):
+            raise ValueError(f"packed tree split features must lie in [0, {width})")
+
     def digest(self) -> str:
         """SHA-256 over the packed buffers — the tree's byte identity."""
         h = hashlib.sha256()
@@ -449,6 +478,19 @@ class FlatForest:
             seed=payload["seed"],
         )
 
+    def check(self, width: int) -> None:
+        """Raise ValueError unless every member tree passes
+        :meth:`FlatTree.check` over its column subset and every column
+        index lies in ``[0, width)``."""
+        if not self.trees:
+            raise ValueError("packed forest has no trees")
+        for tree, cols in zip(self.trees, self.columns):
+            if cols.ndim != 1 or cols.dtype.kind != "i":
+                raise ValueError("packed forest columns must be 1-D integer arrays")
+            if np.any((cols < 0) | (cols >= width)):
+                raise ValueError(f"packed forest columns must lie in [0, {width})")
+            tree.check(cols.shape[0])
+
     def digest(self) -> str:
         """SHA-256 over all member trees' packed buffers."""
         h = hashlib.sha256()
@@ -469,21 +511,19 @@ def flat_from_dict(payload: dict) -> FlatTree | FlatForest:
 
 
 def flatten_learner(model) -> FlatTree | FlatForest | None:
-    """The serving layer's dispatch: a packed twin, or None.
+    """The serving layer's dispatch: the packed form, or None.
 
-    CART trees and random forests flatten; a learner that already
-    carries a packed twin (an artifact-loaded
-    :class:`~repro.serving.artifacts.PackedLearner`) hands it over; any
-    other learner returns None and serves through its own ``predict``.
+    CART trees and random forests flatten, an already-packed model is
+    returned as is, and any other learner returns None and serves
+    through its own ``predict``.
     """
     from repro.ml.cart import CartTree
     from repro.ml.forest import RandomForestRegressor
 
+    if isinstance(model, (FlatTree, FlatForest)):
+        return model
     if isinstance(model, CartTree):
         return FlatTree.from_cart(model)
     if isinstance(model, RandomForestRegressor):
         return FlatForest.from_forest(model)
-    packed = getattr(model, "flat", None)
-    if isinstance(packed, (FlatTree, FlatForest)):
-        return packed
     return None

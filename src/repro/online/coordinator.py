@@ -158,9 +158,8 @@ class OnlineCoordinator:
             self.config.shadow,
             clock=self.clock,
             metrics=self.metrics,
-            # Replay through the serving tier's engine configuration —
-            # flat core and shared candidate matrices when present.
-            use_flat=getattr(service, "use_flat", True),
+            # Replay through the serving tier's shared candidate
+            # matrices when present.
             matrix_cache=getattr(service, "_matrix_cache", None),
         )
         self.drift = DriftDetector(self.config.drift, metrics=self.metrics)

@@ -23,11 +23,11 @@ The gate passes only when every axis is within its configured bound and
 enough real traffic was observed to make the replay meaningful.
 
 Replays run through the same :class:`~repro.serving.engine.
-BatchQueryEngine` path production traffic uses (flat core included, and
+BatchQueryEngine` path production traffic uses (packed trees included, and
 sharing the service's candidate-matrix cache when wired by the
 coordinator) — so the latency axis measures the engine the candidate
 would actually serve from.  Engine construction happens *before* the
-timed replay windows; only ``recommend`` calls are clocked.
+timed replay windows; only the replayed queries are clocked.
 """
 
 from __future__ import annotations
@@ -119,8 +119,6 @@ class ShadowEvaluator:
             makes the ratio vacuous — both replays read zero).
         metrics: registry for the ``online.shadow.*`` latency
             histograms (None = no accounting).
-        use_flat: replay through the models' packed flat twins, like
-            the serving path (default); False walks the object trees.
         matrix_cache: share the serving tier's encoded candidate
             matrices (:class:`~repro.serving.matrix.
             CandidateMatrixCache`); None builds private matrices.
@@ -135,11 +133,9 @@ class ShadowEvaluator:
         config: ShadowGateConfig | None = None,
         clock: Clock | None = None,
         metrics=None,
-        use_flat: bool = True,
         matrix_cache=None,
     ) -> None:
         self.config = config if config is not None else ShadowGateConfig()
-        self.use_flat = use_flat
         self.matrix_cache = matrix_cache
         self.clock = clock if clock is not None else MonotonicClock()
         self._lock = threading.Lock()
@@ -217,12 +213,10 @@ class ShadowEvaluator:
                 continue
             replayed += 1
             started = self.clock.now()
-            live_recs = live.recommend(request.characteristics, top_k=request.top_k)
+            live_recs = live(request.characteristics, request.top_k)
             live_elapsed += self.clock.now() - started
             started = self.clock.now()
-            candidate_recs = candidate.recommend(
-                request.characteristics, top_k=request.top_k
-            )
+            candidate_recs = candidate(request.characteristics, request.top_k)
             candidate_elapsed += self.clock.now() - started
             live_keys = {r.config.key for r in live_recs}
             candidate_keys = {r.config.key for r in candidate_recs}
@@ -278,21 +272,22 @@ class ShadowEvaluator:
 
     # ------------------------------------------------------------------
     def _engine(self, acic, key):
-        """A replay engine for one model — the production serving path.
+        """A replay function ``(chars, top_k) -> recommendations`` for
+        one model, answering through the production serving path.
 
         Anything that is not a full configurator (hermetic stub models
-        in tests expose only ``recommend``) replays as itself; engines
-        and models share the ``recommend(chars, top_k=...)`` surface.
+        in tests expose only ``recommend``) replays through its own
+        ``recommend``.
         """
         encoder = getattr(acic, "encoder", None)
         if encoder is None or not hasattr(encoder, "parameters"):
-            return acic
-        return BatchQueryEngine(
+            return lambda chars, top_k: acic.recommend(chars, top_k=top_k)
+        engine = BatchQueryEngine(
             acic,
-            use_flat=self.use_flat,
             matrix_cache=self.matrix_cache,
             cache_scope=(key[0], key[2]) if self.matrix_cache is not None else None,
         )
+        return lambda chars, top_k: engine.recommend_batch([(chars, top_k)])[0]
 
     @staticmethod
     def _relative_error(candidate_models: dict, entries) -> float | None:

@@ -50,6 +50,7 @@ from repro.core.configurator import Acic
 from repro.core.database import TrainingDatabase
 from repro.core.objectives import Goal
 from repro.core.training import DEFAULT_FIXED_VALUES
+from repro.ml.flat import FlatForest, FlatTree
 from repro.reliability import (
     BreakerOpen,
     DeadlineExceeded,
@@ -149,10 +150,6 @@ class AcicService:
             monotonic clock by default; chaos tests pass a ManualClock).
         sleep: ``sleep(seconds)`` used by retry backoff
             (:func:`time.sleep` by default; tests pass a VirtualSleeper).
-        use_flat: serve through the packed :mod:`repro.ml.flat` twins
-            of the hosted models (the raw-speed default); False keeps
-            the legacy object-tree walk.  Answers are identical either
-            way — the differential suite's guarantee.
     """
 
     def __init__(
@@ -163,7 +160,6 @@ class AcicService:
         reliability: ReliabilityPolicy | None = None,
         clock: Clock | None = None,
         sleep=time.sleep,
-        use_flat: bool = True,
     ) -> None:
         self.feature_names = feature_names
         self._telemetry = telemetry
@@ -175,7 +171,6 @@ class AcicService:
         self.resilience: Resilience = policy.build(
             self.metrics, clock=clock, sleep=sleep
         )
-        self.use_flat = use_flat
         self._databases: dict[str, TrainingDatabase] = {}
         self._models: dict[_ModelKey, Acic] = {}
         self._engines: dict[_ModelKey, BatchQueryEngine] = {}
@@ -502,10 +497,9 @@ class AcicService:
 
         Databases are re-hosted and every packed model is loaded from its
         verified artifact — no retraining (``models_trained`` stays 0
-        until a query needs a model the pack did not carry).  With
-        ``use_flat`` (the default), version-2 artifacts keep their
-        models in packed-array form — cold start is O(header + buffer
-        copy) per model, no node-tree rebuild.
+        until a query needs a model the pack did not carry).  Tree
+        models load in packed-array form — cold start is O(header +
+        buffer copy) per model, no node-tree rebuild.
 
         Args:
             directory: a :meth:`save` output directory.
@@ -513,8 +507,11 @@ class AcicService:
             platforms: when given, load only these platforms' databases
                 and models — the shard-aware path cluster replicas use
                 to warm just the shards the ring assigns them.
-            use_flat: serve through packed flat models; False rebuilds
-                the full object trees and walks them (legacy engine).
+            use_flat: False rebuilds each packed tree model's object
+                form (``to_cart`` / ``to_forest``), so that
+                :meth:`Acic.recommend` — the sequential ``handle`` path
+                — walks the reference object trees.  The batch engine
+                predicts through the packed form either way.
 
         Raises:
             ServiceError: missing/malformed manifest, or a requested
@@ -539,7 +536,6 @@ class AcicService:
             feature_names=tuple(names) if names else None,
             cache_capacity=manifest.get("cache_capacity", 1024),
             reliability=reliability,
-            use_flat=use_flat,
         )
         service.generation = int(manifest.get("generation", 0))
         for entry in manifest.get("databases", ()):
@@ -549,7 +545,11 @@ class AcicService:
         for entry in manifest.get("models", ()):
             if wanted is not None and entry["platform"] not in wanted:
                 continue
-            artifact = load_artifact(directory / entry["file"], materialize=not use_flat)
+            artifact = load_artifact(directory / entry["file"])
+            if not use_flat and isinstance(artifact.model, FlatTree):
+                artifact = replace(artifact, model=artifact.model.to_cart())
+            elif not use_flat and isinstance(artifact.model, FlatForest):
+                artifact = replace(artifact, model=artifact.model.to_forest())
             database = service._database_for(artifact.platform)
             key = (artifact.platform, artifact.goal, artifact.learner)
             service._models[key] = acic_from_artifact(database, artifact)
@@ -729,7 +729,6 @@ class AcicService:
         if engine is None:
             engine = BatchQueryEngine(
                 self._model_for(*key),
-                use_flat=self.use_flat,
                 matrix_cache=self._matrix_cache,
                 cache_scope=(key[0], key[2]),
             )

@@ -10,7 +10,7 @@ stack:
 * :mod:`repro.serving.engine` — :class:`BatchQueryEngine` precomputes the
   candidate-grid feature matrix per model and answers query batches with
   one vectorized prediction pass (through the packed
-  :mod:`repro.ml.flat` core by default);
+  :mod:`repro.ml.flat` core for tree-shaped models);
 * :mod:`repro.serving.matrix` — :class:`CandidateMatrixCache` shares
   those encoded candidate matrices across engine rebuilds, with scoped
   invalidation on online promotion/rollback;
@@ -26,7 +26,6 @@ from repro.serving.artifacts import (
     ARTIFACT_VERSION,
     ArtifactError,
     ModelArtifact,
-    PackedLearner,
     acic_from_artifact,
     artifact_from_dict,
     artifact_to_dict,
@@ -42,7 +41,6 @@ __all__ = [
     "ARTIFACT_VERSION",
     "ArtifactError",
     "ModelArtifact",
-    "PackedLearner",
     "acic_from_artifact",
     "artifact_from_dict",
     "artifact_to_dict",

@@ -6,32 +6,31 @@ trained model is a *thing that can be shipped*: saved by the operator who
 paid for training, loaded by any number of query servers, and verified
 untampered on arrival.  An artifact is a single JSON document carrying
 
-* the fitted learner, serialized exactly (``to_dict``/``from_dict`` on
-  every registered learner — floats survive via shortest-repr JSON, so a
+* the fitted model, stored once: a CART tree or random forest as its
+  packed :mod:`repro.ml.flat` document (base64 little-endian buffers,
+  decoded with one buffer copy per array and checked for well-formed
+  links before it may serve), any other learner as its exact
+  ``to_dict`` state (floats survive via shortest-repr JSON, so a
   reloaded model is prediction-identical, not approximately equal);
-* (version 2) a ``flat`` section: the learner's packed-array twin from
-  :mod:`repro.ml.flat` (base64 little-endian buffers), so a query
-  server cold-starts with one buffer copy per array instead of
-  rebuilding a node tree, and serves through the vectorized flat
-  engine;
 * the feature-encoder column layout, including extension dimensions;
 * provenance: platform, goal, learner name, database size and epoch
   span — what a client needs to judge freshness;
 * a SHA-256 content hash over the canonical JSON form, checked on load.
 
-Both sections are emitted deterministically from the same fitted model,
-so the document — and its content hash — is byte-stable across
+The document — and its content hash — is byte-stable across
 save/load/save cycles (the property the generation-identity tests pin).
 
 Format changes bump :data:`ARTIFACT_VERSION`; loaders accept the
-versions in :data:`_READABLE_VERSIONS` (version-1 documents simply
-carry no flat section and materialize their node tree on load) and
-reject anything else rather than misinterpreting it.
+versions in :data:`_READABLE_VERSIONS` and reject anything else rather
+than misinterpreting it.  Version 1 stored trees as object node lists
+(flattened on load); version 2 stored those node lists next to a
+``flat`` section (served from the ``flat`` section).  Every version
+loads a tree-shaped model as a :class:`~repro.ml.flat.FlatTree` or
+:class:`~repro.ml.flat.FlatForest`.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 from dataclasses import dataclass
@@ -42,7 +41,7 @@ from repro.core.database import TrainingDatabase
 from repro.core.objectives import Goal
 from repro.ml.cart import CartTree
 from repro.ml.encoding import FeatureEncoder
-from repro.ml.flat import FlatForest, FlatTree, flat_from_dict, flatten_learner
+from repro.ml.flat import flat_from_dict, flatten_learner
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.knn import KnnRegressor
 from repro.ml.linear import RidgeRegressor
@@ -53,7 +52,6 @@ __all__ = [
     "ARTIFACT_VERSION",
     "ArtifactError",
     "ModelArtifact",
-    "PackedLearner",
     "artifact_to_dict",
     "artifact_from_dict",
     "save_artifact",
@@ -62,12 +60,13 @@ __all__ = [
 ]
 
 ARTIFACT_FORMAT = "acic-model-artifact"
-ARTIFACT_VERSION = 2
+ARTIFACT_VERSION = 3
 
-#: Versions this build can decode (v1: no packed ``flat`` section).
-_READABLE_VERSIONS = (1, ARTIFACT_VERSION)
+#: Versions this build can decode (see the module docstring).
+_READABLE_VERSIONS = (1, 2, ARTIFACT_VERSION)
 
-#: Model classes an artifact can carry, by class name (decode dispatch).
+#: Object-state model classes, by class name (decode dispatch; the tree
+#: classes appear only in version-1 and version-2 documents).
 _MODEL_CLASSES: dict[str, type] = {
     cls.__name__: cls
     for cls in (CartTree, KnnRegressor, RidgeRegressor, RandomForestRegressor)
@@ -76,49 +75,6 @@ _MODEL_CLASSES: dict[str, type] = {
 
 class ArtifactError(ValueError):
     """A malformed, tampered, or unsupported model artifact."""
-
-
-class PackedLearner:
-    """An artifact-decoded learner serving from packed flat arrays.
-
-    Holds the artifact's raw ``model`` section verbatim (so re-saving
-    is byte-identical without re-serializing anything) plus its decoded
-    :class:`~repro.ml.flat.FlatTree`/:class:`~repro.ml.flat.FlatForest`
-    twin, which answers ``predict`` without ever rebuilding the node
-    tree — the O(header + buffer copy) cold-start path.  The full
-    object model materializes lazily, only if something needs it.
-    """
-
-    def __init__(self, payload: dict, flat: FlatTree | FlatForest) -> None:
-        self._payload = payload
-        self.flat = flat
-        self._materialized: Learner | None = None
-
-    @property
-    def class_name(self) -> str:
-        """The packed model's original class name ("CartTree", ...)."""
-        return str(self._payload.get("class"))
-
-    @property
-    def payload(self) -> dict:
-        """The artifact ``model`` section this learner was decoded from."""
-        return self._payload
-
-    def materialize(self) -> Learner:
-        """The full object-form learner, rebuilt once on first use."""
-        if self._materialized is None:
-            self._materialized = _model_from_dict(self._payload)
-        return self._materialized
-
-    def fit(self, X, y) -> "PackedLearner":
-        """Packed models are inference-only snapshots."""
-        raise RuntimeError(
-            "PackedLearner is inference-only; train a fresh learner instead"
-        )
-
-    def predict(self, X):
-        """Vectorized flat prediction — bit-identical to the object walk."""
-        return self.flat.predict(X)
 
 
 @dataclass(frozen=True)
@@ -163,11 +119,10 @@ class ModelArtifact:
 
 
 def _model_to_dict(model: Learner) -> dict:
-    if isinstance(model, PackedLearner):
-        # Verbatim round-trip: the artifact this learner came from is
-        # the canonical serialization (deep-copied so callers mutating
-        # the returned document cannot corrupt the live model).
-        return copy.deepcopy(model.payload)
+    """A tree's packed document, or any other learner's object state."""
+    flat = flatten_learner(model)
+    if flat is not None:
+        return flat.to_dict()
     to_dict = getattr(model, "to_dict", None)
     if to_dict is None:
         raise ArtifactError(
@@ -177,26 +132,28 @@ def _model_to_dict(model: Learner) -> dict:
     return {"class": type(model).__name__, "state": to_dict()}
 
 
-def _flat_to_dict(model: Learner) -> dict | None:
-    """The model's packed-array section, or None for unflattenables.
+def _model_from_dict(payload: dict, width: int) -> Learner:
+    """Decode the stored model; trees always come back packed.
 
-    Deterministic: flattening a rebuilt tree yields byte-identical
-    arrays, and a :class:`PackedLearner` re-emits the exact section it
-    was decoded from — either way the document is hash-stable.
+    A packed section (a version-3 ``model``, or a version-2 ``flat``
+    section) must pass its structural check against the encoder
+    ``width`` before it may serve.
     """
-    flat = flatten_learner(model)
-    return flat.to_dict() if flat is not None else None
-
-
-def _model_from_dict(payload: dict) -> Learner:
+    section = payload.get("flat") or payload["model"]
+    if "kind" in section:
+        flat = flat_from_dict(section)
+        flat.check(width)
+        return flat
     try:
-        cls = _MODEL_CLASSES[payload["class"]]
+        cls = _MODEL_CLASSES[section["class"]]
     except KeyError:
         known = ", ".join(sorted(_MODEL_CLASSES))
         raise ArtifactError(
-            f"unknown model class {payload.get('class')!r}; known: {known}"
+            f"unknown model class {section.get('class')!r}; known: {known}"
         ) from None
-    return cls.from_dict(payload["state"])
+    model = cls.from_dict(section["state"])
+    flat = flatten_learner(model)
+    return flat if flat is not None else model
 
 
 def _content_hash(payload: dict) -> str:
@@ -214,7 +171,6 @@ def artifact_to_dict(artifact: ModelArtifact) -> dict:
         "learner": artifact.learner,
         "goal": artifact.goal.value,
         "model": _model_to_dict(artifact.model),
-        "flat": _flat_to_dict(artifact.model),
         "encoder": artifact.encoder.to_dict(),
         "feature_names": list(artifact.encoder.names),
         "provenance": {
@@ -228,14 +184,8 @@ def artifact_to_dict(artifact: ModelArtifact) -> dict:
     return payload
 
 
-def artifact_from_dict(payload: dict, *, materialize: bool = False) -> ModelArtifact:
-    """Validate and decode an artifact document (:class:`ArtifactError`).
-
-    A version-2 document carrying a ``flat`` section decodes its model
-    as a :class:`PackedLearner` — buffer copies only, no node-tree
-    rebuild — unless ``materialize`` forces the object form (the
-    legacy-engine serving mode, and version-1 documents always).
-    """
+def artifact_from_dict(payload: dict) -> ModelArtifact:
+    """Validate and decode an artifact document (:class:`ArtifactError`)."""
     if not isinstance(payload, dict):
         raise ArtifactError("artifact must be a JSON object")
     if payload.get("format") != ARTIFACT_FORMAT:
@@ -255,19 +205,14 @@ def artifact_from_dict(payload: dict, *, materialize: bool = False) -> ModelArti
             f"computed {actual!r}) — refusing a tampered or truncated model"
         )
     try:
-        flat_section = payload.get("flat")
-        if flat_section is not None and not materialize:
-            model: Learner = PackedLearner(
-                payload["model"], flat_from_dict(flat_section)
-            )
-        else:
-            model = _model_from_dict(payload["model"])
+        encoder = FeatureEncoder.from_dict(payload["encoder"])
+        model = _model_from_dict(payload, encoder.width)
         provenance = payload["provenance"]
         return ModelArtifact(
             learner=payload["learner"],
             goal=Goal(payload["goal"]),
             model=model,
-            encoder=FeatureEncoder.from_dict(payload["encoder"]),
+            encoder=encoder,
             platform=provenance["platform"],
             database_points=int(provenance["database_points"]),
             database_epochs=tuple(provenance["database_epochs"]),
@@ -284,18 +229,13 @@ def save_artifact(artifact: ModelArtifact, path: str | Path) -> str:
     return payload["content_hash"]
 
 
-def load_artifact(path: str | Path, *, materialize: bool = False) -> ModelArtifact:
-    """Read, verify and decode an artifact file.
-
-    With ``materialize=False`` (the default) a version-2 artifact's
-    model comes back as a :class:`PackedLearner` — flat-array serving,
-    lazy object form.
-    """
+def load_artifact(path: str | Path) -> ModelArtifact:
+    """Read, verify and decode an artifact file."""
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ArtifactError(f"artifact is not valid JSON: {exc}") from exc
-    return artifact_from_dict(payload, materialize=materialize)
+    return artifact_from_dict(payload)
 
 
 def acic_from_artifact(database: TrainingDatabase, artifact: ModelArtifact) -> Acic:

@@ -12,19 +12,19 @@ work out of the per-query path:
 * per-workload valid-row index sets are memoized, so repeat workload
   shapes skip the Python validity sweep entirely,
 * a query only encodes its nine application-side values (one row, not
-  one per candidate), broadcasts them across the base matrix, and runs
-  a single vectorized ``predict`` over all candidates,
-* with ``use_flat`` (the default) that predict runs through the packed
-  :mod:`repro.ml.flat` twin of the model — array passes instead of
-  Python node recursion, bit-identical by the differential suite.
+  one per candidate), broadcasts them across the base matrix, and a
+  whole batch runs a single vectorized ``predict`` over all candidates,
+* a tree-shaped model predicts through its packed :mod:`repro.ml.flat`
+  form — array passes instead of Python node recursion, bit-identical
+  by the differential suite.
 
 Ranking goes through :func:`repro.core.configurator.rank_scored`, so the
-engine's recommendations are *identical* to the sequential path — the
-property the tier-1 tests pin down, flat or not.
+engine's recommendations are *identical* to :meth:`Acic.recommend` —
+the property the tier-1 tests and the golden corpus pin down.
 
 When telemetry is enabled (:mod:`repro.telemetry`), every batch pass
-emits a ``serving.recommend_batch`` span with a nested
-``serving.predict`` span around the vectorized learner call, plus
+emits a ``serving.recommend_batch`` span with nested ``serving.join``,
+``serving.predict`` and ``serving.rank`` spans, plus
 ``serving.queries`` / ``serving.candidates_scored`` counters — the
 per-stage cost data an advisor's operators size capacity from.
 """
@@ -35,16 +35,10 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.configurator import (
-    Acic,
-    Recommendation,
-    rank_scored,
-    tied_champions,
-)
+from repro.core.configurator import Acic, Recommendation, rank_scored
 from repro.ml.encoding import characteristics_values
 from repro.ml.flat import flatten_learner
 from repro.reliability.faults import get_injector
-from repro.serving.artifacts import PackedLearner
 from repro.serving.matrix import CandidateMatrix, CandidateMatrixCache
 from repro.space.characteristics import AppCharacteristics
 from repro.space.configuration import SystemConfig
@@ -63,10 +57,6 @@ class BatchQueryEngine:
             grid (every valid system configuration).  Per query,
             candidates that cannot host the workload are masked out —
             the same filter :func:`candidate_configs` applies.
-        use_flat: serve predictions through the model's packed flat
-            twin when it has one (CART / forest / artifact-packed);
-            False forces the legacy object-tree walk.  Either way the
-            answers are identical.
         matrix_cache: share encoded candidate matrices across engine
             rebuilds through this cache; None builds a private matrix.
         cache_scope: ``(platform, learner)`` invalidation scope for the
@@ -78,7 +68,6 @@ class BatchQueryEngine:
         acic: Acic,
         candidates: Sequence[SystemConfig] | None = None,
         *,
-        use_flat: bool = True,
         matrix_cache: CandidateMatrixCache | None = None,
         cache_scope: tuple[str, str] | None = None,
     ) -> None:
@@ -103,24 +92,11 @@ class BatchQueryEngine:
         # application-side columns are filled per query (on copies — the
         # shared base itself is read-only).
         self._base = self._matrix.base
-        self._flat = flatten_learner(acic.model) if use_flat else None
-        if self._flat is not None:
-            self._predictor = self._flat
-        elif isinstance(acic.model, PackedLearner) and not use_flat:
-            # An artifact-decoded model predicts through its packed twin
-            # by default; a legacy engine must genuinely walk the object
-            # tree, so force materialization.
-            self._predictor = acic.model.materialize()
-        else:
-            self._predictor = acic.model
-
-    @property
-    def engine_kind(self) -> str:
-        """"flat" when serving packed arrays, "tree" on the legacy walk."""
-        return "flat" if self._flat is not None else "tree"
+        flat = flatten_learner(acic.model)
+        self._predictor = flat if flat is not None else acic.model
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        """One vectorized model call — flat twin when available."""
+        """One vectorized model call — the packed form for trees."""
         return self._predictor.predict(X)
 
     # ------------------------------------------------------------------
@@ -134,35 +110,6 @@ class BatchQueryEngine:
             encoded = self.acic.encoder.encode_values(characteristics_values(chars))
             X[:, self._application_columns] = encoded[self._application_columns]
         return X, [self.candidates[row] for row in rows]
-
-    def score(
-        self, chars: AppCharacteristics
-    ) -> tuple[np.ndarray, list[SystemConfig]]:
-        """Predicted improvement ratios over the valid candidates."""
-        telemetry = get_telemetry()
-        with telemetry.span("serving.score"):
-            X, candidates = self._join(chars)
-            if X.shape[0] == 0:
-                return np.empty(0, dtype=float), candidates
-            get_injector().perturb("serving.predict")
-            with telemetry.span("serving.predict", rows=X.shape[0]):
-                scores = np.exp(self._predict(X))
-        telemetry.counter("serving.queries").inc()
-        telemetry.counter("serving.candidates_scored").inc(X.shape[0])
-        return scores, candidates
-
-    # ------------------------------------------------------------------
-    def recommend(
-        self, chars: AppCharacteristics, top_k: int = 1
-    ) -> list[Recommendation]:
-        """Top-k recommendations — identical to :meth:`Acic.recommend`."""
-        scores, candidates = self.score(chars)
-        return rank_scored(list(zip(scores.tolist(), candidates)), top_k)
-
-    def co_champions(self, chars: AppCharacteristics) -> list[SystemConfig]:
-        """All candidates tied with the best prediction."""
-        scores, candidates = self.score(chars)
-        return tied_champions(list(zip(scores.tolist(), candidates)))
 
     def recommend_batch(
         self, queries: Sequence[tuple[AppCharacteristics, int]]

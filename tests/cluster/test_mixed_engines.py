@@ -1,55 +1,75 @@
-"""Mixed-engine fleet differential: flat and legacy replicas agree.
+"""Mixed-format fleet differential: v2 and v3 replicas agree.
 
-A rolling upgrade (or a pinned ``use_flat=False`` escape hatch) can
-leave a fleet serving both engine generations at once: some replicas
-answer from the packed flat core, others walk the legacy object trees.
-The flat core's bit-identity guarantee means a router scattering over
-such a fleet — or failing over from one engine kind to the other
-mid-flight — must return byte-identical wire responses either way.
-This is the test that makes "mixed fleets are safe" a pinned property
-instead of a hope.
+A rolling upgrade can leave a fleet serving one model from two artifact
+formats at once: some replicas warm-start from a pack written by an
+older build (version 2, node lists plus a ``flat`` section), others
+from its re-save in the current format (the packed model stored once).
+A router scattering over such a fleet — or failing over from one kind
+of replica to the other mid-flight — must return byte-identical wire
+responses either way, and they must equal the golden corpus answers
+captured when the version-2 pack was written.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
 from repro.cluster.replica import ReplicaHandle, ReplicaSpec
 from repro.cluster.router import ClusterRouter, RouterConfig
-from repro.net.loadgen import synthetic_queries
 from repro.net.server import AcicServer, ServerThread
+from repro.service.api import QueryRequest
 from repro.service.server import AcicService
+from repro.serving.artifacts import ARTIFACT_VERSION
 
-from tests.cluster.conftest import PLATFORMS, mixed_batch
+from tests.golden.test_golden import GOLDEN, canonical
+
+V2_PACK = GOLDEN / "v2"
+
+
+def pack_versions(pack) -> set[int]:
+    return {
+        json.loads(path.read_text())["version"]
+        for path in pack.glob("model-*.json")
+    }
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """(queries, canonical answers) from the golden corpus, 96 of them:
+    every learner and goal, distinct fingerprints."""
+    doc = json.loads((GOLDEN / "corpus.json").read_text())
+    queries = [QueryRequest.from_payload(q) for q in doc["queries"][:96]]
+    return queries, [canonical(a) for a in doc["answers"][:96]]
 
 
 @pytest.fixture()
-def mixed_fleet(cluster_pack):
-    """Two full-copy replicas: ``r0`` serves flat, ``r1`` legacy trees.
+def mixed_fleet(tmp_path):
+    """Two full-copy replicas: ``r0`` loads the version-2 pack, ``r1``
+    its re-save in the current format.
 
-    Both replicas own every platform (replication=2 over two nodes), so
-    any query can be answered by either engine kind — the condition
-    under which byte-identity is actually load-bearing.
+    Both replicas own the platform (replication=2 over two nodes), so
+    any query can be answered from either format — the condition under
+    which byte-identity is actually load-bearing.
     """
+    resaved = tmp_path / "resaved"
+    AcicService.load(V2_PACK).save(resaved)
+    # Confirm the fleet really is mixed before asserting sameness.
+    assert pack_versions(V2_PACK) == {2}
+    assert pack_versions(resaved) == {ARTIFACT_VERSION} != {2}
+    platforms = tuple(AcicService.manifest_platforms(V2_PACK))
     members = []
     specs = []
-    for name, use_flat in (("r0", True), ("r1", False)):
-        service = AcicService.load(
-            cluster_pack, platforms=PLATFORMS, use_flat=use_flat
-        )
-        # Confirm the fleet really is mixed before asserting sameness.
-        for platform in PLATFORMS:
-            from repro.core.objectives import Goal
-
-            engine = service._engine_for((platform, Goal.PERFORMANCE, "cart"))
-            assert engine.engine_kind == ("flat" if use_flat else "tree")
+    for name, pack in (("r0", V2_PACK), ("r1", resaved)):
         thread = ServerThread(
-            AcicServer(service, host="127.0.0.1", port=0), drain=False
+            AcicServer(AcicService.load(pack), host="127.0.0.1", port=0),
+            drain=False,
         )
         host, port = thread.start()
         members.append(thread)
         specs.append(
-            ReplicaSpec(name=name, host=host, port=port, platforms=PLATFORMS)
+            ReplicaSpec(name=name, host=host, port=port, platforms=platforms)
         )
     try:
         yield specs
@@ -65,56 +85,47 @@ def router_for(specs) -> ClusterRouter:
     )
 
 
-def to_json(responses):
-    return [response.to_json() for response in responses]
+def canonical_answers(responses):
+    return [canonical(response.to_payload()) for response in responses]
 
 
 class TestMixedEngineFleet:
-    def test_both_engine_kinds_answer_byte_identically(
-        self, mixed_fleet, reference_service
-    ):
-        batch = mixed_batch(3, seed=211)
+    def test_both_engine_kinds_answer_byte_identically(self, mixed_fleet, corpus):
+        queries, want = corpus
         router = router_for(mixed_fleet)
         try:
-            got = router.query_batch(batch)
+            got = router.query_batch(queries)
         finally:
             router.close()
-        want = reference_service.query_batch(batch)
-        assert to_json(got) == to_json(want)
+        assert canonical_answers(got) == want
         assert not any(response.degraded for response in got)
 
     def test_failover_across_engine_kinds_is_byte_identical(
-        self, mixed_fleet, reference_service
+        self, mixed_fleet, corpus
     ):
-        batch = mixed_batch(3, seed=223)
-        want = to_json(reference_service.query_batch(batch))
-        for survivor_index in (0, 1):  # flat survivor, then legacy
+        queries, want = corpus
+        for survivor_index in (0, 1):  # v2 survivor, then v3
             router = router_for(mixed_fleet)
             try:
                 doomed = mixed_fleet[1 - survivor_index]
-                router.handles[doomed.name].breaker.record_failure()
                 # Open the corpse's breaker outright: every group call
-                # lands on the surviving engine kind.
+                # lands on the surviving replica.
                 while router.handles[doomed.name].breaker.state != "open":
                     router.handles[doomed.name].breaker.record_failure()
-                got = router.query_batch(batch)
+                got = router.query_batch(queries)
             finally:
                 router.close()
-            assert to_json(got) == want
+            assert canonical_answers(got) == want
             assert not any(response.degraded for response in got)
 
-    def test_direct_replica_answers_match_each_other(self, mixed_fleet):
+    def test_direct_replica_answers_match_each_other(self, mixed_fleet, corpus):
         """Ask each replica the same queries point-blank — no routing,
         no failover — and require byte-identical wire JSON."""
         from repro.net.client import AcicClient
 
-        batch = [
-            query
-            for platform in PLATFORMS
-            for query in synthetic_queries(platform, 4, seed=229)
-        ]
+        queries, want = corpus
         answers = []
         for spec in mixed_fleet:
             with AcicClient(spec.host, spec.port) as client:
-                answers.append(to_json(client.query_batch(batch)))
-        assert answers[0] == answers[1]
+                answers.append(canonical_answers(client.query_batch(queries)))
+        assert answers[0] == answers[1] == want

@@ -10,6 +10,7 @@ hash-stable serialization the artifact format builds on.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -203,6 +204,33 @@ class TestFlatForest:
         assert again.to_dict() == flat.to_dict()
 
 
+class TestStructuralCheck:
+    """Unit cases for ``check``; link and range corruptions are driven
+    through artifact loading in ``tests/serving/test_artifacts.py``."""
+
+    def test_fitted_trees_and_forests_pass(self):
+        FlatTree.from_cart(fitted_tree()[0]).check(4)
+        FlatTree.from_cart(CartTree().fit(np.ones((4, 2)), np.ones(4))).check(2)
+        FlatForest.from_forest(fitted_forest()[0]).check(4)
+
+    def test_ragged_or_empty_arrays_are_refused(self):
+        flat = FlatTree.from_cart(fitted_tree()[0])
+        with pytest.raises(ValueError, match="equal length"):
+            replace(flat, sse=flat.sse[:-1]).check(4)
+        empty = FlatTree(*(a[:0] for a in flat._arrays().values()))
+        with pytest.raises(ValueError, match="non-empty"):
+            empty.check(4)
+
+    def test_float_links_are_refused(self):
+        flat = FlatTree.from_cart(fitted_tree()[0])
+        with pytest.raises(ValueError, match="integer"):
+            replace(flat, left=flat.left.astype(float)).check(4)
+
+    def test_empty_forest_is_refused(self):
+        with pytest.raises(ValueError, match="no trees"):
+            FlatForest(trees=(), columns=()).check(4)
+
+
 class TestDispatch:
     def test_cart_flattens_to_a_tree(self):
         assert isinstance(flatten_learner(fitted_tree()[0]), FlatTree)
@@ -218,14 +246,19 @@ class TestDispatch:
         assert flatten_learner(RidgeRegressor().fit(X, y)) is None
 
     def test_packed_carriers_hand_over_their_twin(self):
-        flat = FlatTree.from_cart(fitted_tree()[0])
+        """Packed models are served as themselves; the choice is made
+        from the learner's type, never from an attribute it carries."""
+        tree = FlatTree.from_cart(fitted_tree()[0])
+        forest = FlatForest.from_forest(fitted_forest()[0])
+        assert flatten_learner(tree) is tree
+        assert flatten_learner(forest) is forest
 
         class Carrier:
             pass
 
         carrier = Carrier()
-        carrier.flat = flat
-        assert flatten_learner(carrier) is flat
+        carrier.flat = tree
+        assert flatten_learner(carrier) is None
 
     def test_unknown_flat_kind_is_rejected(self):
         with pytest.raises(ValueError):

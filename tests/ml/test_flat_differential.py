@@ -14,9 +14,10 @@ three ways:
 * **degenerate level** — hand-built trees with edge-value thresholds
   (signed zeros, subnormals, huge magnitudes) and single-leaf stumps;
 * **system level** — every registered learner through the versioned
-  artifact, and whole services (flat vs legacy tree walk) answering
-  identical query streams with byte-identical wire JSON, including
-  after an online promotion swaps in a new generation.
+  artifact, and whole services answering identical query streams with
+  wire JSON byte-identical to the reference: :meth:`Acic.recommend`
+  walking object trees on a pack loaded with ``use_flat=False`` —
+  including after an online promotion swaps in a new generation.
 """
 
 from __future__ import annotations
@@ -43,13 +44,13 @@ from repro.online import (
     ShadowGateConfig,
 )
 from repro.pb.ranking import screen_parameters
+from repro.service.api import BatchQueryRequest, BatchQueryResponse
+from repro.service.server import AcicService
 from repro.serving.artifacts import (
     ModelArtifact,
-    PackedLearner,
     artifact_from_dict,
     artifact_to_dict,
 )
-from repro.service.server import AcicService
 from repro.space.grid import candidate_configs
 from repro.telemetry import ManualClock
 
@@ -254,8 +255,8 @@ class TestEveryRegisteredLearner:
         restored = artifact_from_dict(
             artifact_to_dict(ModelArtifact.from_acic(acic))
         )
-        flattenable = learner_name in ("cart", "forest")
-        assert isinstance(restored.model, PackedLearner) == flattenable
+        packed = isinstance(restored.model, (FlatTree, FlatForest))
+        assert packed == (learner_name in ("cart", "forest"))
 
         X = acic.encoder.encode_many(
             [
@@ -267,13 +268,16 @@ class TestEveryRegisteredLearner:
             np.asarray(acic.model.predict(X), dtype=np.float64),
             np.asarray(restored.model.predict(X), dtype=np.float64),
         )
-        # The materialized object walk agrees too.
-        materialized = artifact_from_dict(
-            artifact_to_dict(ModelArtifact.from_acic(acic)), materialize=True
-        )
+        # The rebuilt object form walks to the same values too.
+        if isinstance(restored.model, FlatTree):
+            reference = restored.model.to_cart()
+        elif isinstance(restored.model, FlatForest):
+            reference = restored.model.to_forest()
+        else:
+            reference = restored.model
         _assert_bit_identical(
             np.asarray(acic.model.predict(X), dtype=np.float64),
-            np.asarray(materialized.model.predict(X), dtype=np.float64),
+            np.asarray(reference.predict(X), dtype=np.float64),
         )
 
 
@@ -292,59 +296,53 @@ def service_pack(pipeline, tmp_path_factory):
     return platform, out
 
 
+def _reference(pack, kinds=(CartTree, RandomForestRegressor)) -> AcicService:
+    """The pack with object-form models: ``handle`` runs Acic.recommend
+    over CartNode trees."""
+    service = AcicService.load(pack, use_flat=False)
+    assert {type(acic.model) for acic in service._models.values()} == set(kinds)
+    return service
+
+
 class TestWireByteIdentity:
     def test_flat_and_legacy_services_answer_byte_identically(
         self, service_pack
     ):
         platform, pack = service_pack
         flat_service = AcicService.load(pack)
-        legacy_service = AcicService.load(pack, use_flat=False)
+        kinds = {type(acic.model) for acic in flat_service._models.values()}
+        assert kinds == {FlatTree, FlatForest}
+        reference = _reference(pack)
         batch = synthetic_queries(platform, 48, seed=5)
 
         flat_wire = [r.to_json() for r in flat_service.query_batch(batch)]
-        legacy_wire = [r.to_json() for r in legacy_service.query_batch(batch)]
-        assert flat_wire == legacy_wire
-
-        # Prove the comparison spans genuinely different engines.
-        kinds = {
-            engine.engine_kind for engine in flat_service._engines.values()
-        }
-        assert kinds == {"flat"}
-        kinds = {
-            engine.engine_kind for engine in legacy_service._engines.values()
-        }
-        assert kinds == {"tree"}
+        reference_wire = [reference.handle(r).to_json() for r in batch]
+        assert flat_wire == reference_wire
 
     def test_sequential_handles_match_too(self, service_pack):
         platform, pack = service_pack
         flat_service = AcicService.load(pack)
-        legacy_service = AcicService.load(pack, use_flat=False)
+        reference = _reference(pack)
         for request in synthetic_queries(platform, 8, seed=9):
             assert (
                 flat_service.handle(request).to_json()
-                == legacy_service.handle(request).to_json()
+                == reference.handle(request).to_json()
             )
 
     def test_batch_transport_json_is_byte_identical(self, service_pack):
-        from repro.service.api import BatchQueryRequest
-
         platform, pack = service_pack
         flat_service = AcicService.load(pack)
-        legacy_service = AcicService.load(pack, use_flat=False)
-        wire = BatchQueryRequest(
-            queries=tuple(synthetic_queries(platform, 12, seed=3))
+        reference = _reference(pack)
+        queries = tuple(synthetic_queries(platform, 12, seed=3))
+        wire = BatchQueryRequest(queries=queries).to_json()
+        want = BatchQueryResponse(
+            responses=tuple(reference.handle(r) for r in queries)
         ).to_json()
-        assert flat_service.handle_batch_json(
-            wire
-        ) == legacy_service.handle_batch_json(wire)
+        assert flat_service.handle_batch_json(wire) == want
 
 
 class TestPromotedGenerations:
-    def _online(self, pipeline, tmp_path, tag, use_flat):
-        names, database = pipeline
-        service = AcicService(feature_names=names, use_flat=use_flat)
-        service.host_database(_clone(database))
-        service.warm(database.platform_name, Goal.PERFORMANCE, "cart")
+    def _online(self, service, tmp_path, tag):
         log = ContributionLog(tmp_path / f"log-{tag}.jsonl", flush_every=1)
         coordinator = OnlineCoordinator(
             service,
@@ -361,7 +359,7 @@ class TestPromotedGenerations:
     def test_promotion_keeps_flat_and_legacy_byte_identical(
         self, pipeline, platform, tmp_path
     ):
-        _names, database = pipeline
+        names, database = pipeline
         platform_name = database.platform_name
         # Fresh re-observations of the same plan at a later epoch: an
         # honest stream the shadow gate waves through.
@@ -373,34 +371,38 @@ class TestPromotedGenerations:
             epoch=2,
         )
 
-        flat_service, flat_coord = self._online(
-            pipeline, tmp_path, "flat", use_flat=True
-        )
-        legacy_service, legacy_coord = self._online(
-            pipeline, tmp_path, "legacy", use_flat=False
+        # One service starts from freshly trained object trees, the
+        # other from the same models loaded packed.
+        trained = AcicService(feature_names=names)
+        trained.host_database(_clone(database))
+        trained.warm(platform_name, Goal.PERFORMANCE, "cart")
+        trained.save(tmp_path / "boot")
+        trained_service, trained_coord = self._online(trained, tmp_path, "trained")
+        loaded_service, loaded_coord = self._online(
+            AcicService.load(tmp_path / "boot"), tmp_path, "loaded"
         )
         try:
             for service, coordinator in (
-                (flat_service, flat_coord),
-                (legacy_service, legacy_coord),
+                (trained_service, trained_coord),
+                (loaded_service, loaded_coord),
             ):
                 service.contribute(platform_name, _clone(contribution))
                 assert coordinator.run_once() == "promoted"
                 assert service.generation == 1
 
-            # Identical generations, bit for bit: the artifact hash of
-            # the packed-model generation equals the legacy one's.
+            # Identical generations, bit for bit.
             assert (
-                flat_coord.registry.live().artifact_hash
-                == legacy_coord.registry.live().artifact_hash
+                trained_coord.registry.live().artifact_hash
+                == loaded_coord.registry.live().artifact_hash
             )
 
+            loaded_service.save(tmp_path / "promoted")
+            reference = _reference(tmp_path / "promoted", kinds=(CartTree,))
             batch = synthetic_queries(platform_name, 32, seed=17)
-            flat_wire = [r.to_json() for r in flat_service.query_batch(batch)]
-            legacy_wire = [
-                r.to_json() for r in legacy_service.query_batch(batch)
-            ]
-            assert flat_wire == legacy_wire
+            want = [reference.handle(r).to_json() for r in batch]
+            for service in (trained_service, loaded_service):
+                assert [r.to_json() for r in service.query_batch(batch)] == want
         finally:
-            flat_coord.close()
-            legacy_coord.close()
+            trained_coord.close()
+            loaded_coord.close()
+

@@ -1,6 +1,8 @@
 """Tests for versioned model artifacts: exact round-trips, tamper checks."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,16 +10,37 @@ import pytest
 from repro.core.configurator import Acic
 from repro.core.objectives import Goal
 from repro.ml.encoding import FeatureEncoder, point_values
+from repro.ml.flat import LEAF, FlatForest, FlatTree, pack_array, unpack_array
 from repro.ml.registry import available_learners
 from repro.serving.artifacts import (
     ARTIFACT_FORMAT,
+    ARTIFACT_VERSION,
     ArtifactError,
     ModelArtifact,
     acic_from_artifact,
+    artifact_from_dict,
+    artifact_to_dict,
     load_artifact,
     save_artifact,
 )
 from repro.space.grid import candidate_configs
+
+GOLDEN_V2 = Path(__file__).parents[1] / "golden" / "v2"
+
+
+def set_element(tree: dict, name: str, index: int, value) -> None:
+    """Overwrite one element of a packed array in a flat-cart document."""
+    array = unpack_array(tree["arrays"][name]).copy()
+    array[index] = value
+    tree["arrays"][name] = pack_array(array)
+
+
+def rehash(payload: dict) -> dict:
+    """Recompute the content hash, as a careless (not hostile) writer would."""
+    body = {k: v for k, v in payload.items() if k != "content_hash"}
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    payload["content_hash"] = hashlib.sha256(canonical.encode()).hexdigest()
+    return payload
 
 
 def _trained(small_pipeline, learner_name, goal=Goal.PERFORMANCE):
@@ -105,7 +128,8 @@ class TestVerification:
 
     def test_tampered_model_rejected(self, saved):
         payload = json.loads(saved.read_text())
-        payload["model"]["state"]["nodes"][0]["mean"] += 1.0
+        mean = unpack_array(payload["model"]["arrays"]["mean"])
+        set_element(payload["model"], "mean", 0, mean[0] + 1.0)
         saved.write_text(json.dumps(payload))
         with pytest.raises(ArtifactError, match="hash mismatch"):
             load_artifact(saved)
@@ -147,6 +171,118 @@ class TestVerification:
         foreign = TrainingDatabase("azure-west")
         with pytest.raises(ArtifactError, match="platform"):
             acic_from_artifact(foreign, artifact)
+
+
+class TestVersion3Layout:
+    @pytest.mark.parametrize("learner_name", available_learners())
+    def test_each_model_is_stored_once(self, small_pipeline, learner_name):
+        acic = _trained(small_pipeline, learner_name)
+        payload = artifact_to_dict(ModelArtifact.from_acic(acic))
+        assert ARTIFACT_VERSION == payload["version"] == 3
+        assert "flat" not in payload
+        kind = {"cart": "flat-cart", "forest": "flat-forest"}.get(learner_name)
+        if kind is not None:
+            assert payload["model"]["kind"] == kind
+        else:
+            assert set(payload["model"]) == {"class", "state"}
+
+    @pytest.mark.parametrize("learner_name", available_learners())
+    def test_trees_load_packed(self, small_pipeline, learner_name):
+        acic = _trained(small_pipeline, learner_name)
+        model = artifact_from_dict(
+            artifact_to_dict(ModelArtifact.from_acic(acic))
+        ).model
+        packed = isinstance(model, (FlatTree, FlatForest))
+        assert packed == (learner_name in ("cart", "forest"))
+
+    @pytest.mark.parametrize("name", ["cart", "forest", "knn", "ridge"])
+    def test_v2_fixture_loads_in_v3_form(self, name):
+        artifact = load_artifact(
+            GOLDEN_V2 / f"model-ec2-us-east-performance-{name}.json"
+        )
+        resaved = artifact_to_dict(artifact)
+        assert resaved["version"] == 3 and "flat" not in resaved
+        if name in ("cart", "forest"):
+            v2 = json.loads(
+                (GOLDEN_V2 / f"model-ec2-us-east-performance-{name}.json").read_text()
+            )
+            assert resaved["model"] == v2["flat"]
+
+
+#: Structural corruptions of one packed tree; each must be refused at
+#: load, never reach ``predict`` (a cyclic link loops forever there).
+CORRUPTIONS = (
+    "cyclic_left",
+    "right_before_left",
+    "child_out_of_range",
+    "leaf_with_child",
+    "feature_out_of_range",
+    "ragged_arrays",
+)
+
+
+def corrupt(tree: dict, corruption: str, width: int) -> None:
+    """Apply one of :data:`CORRUPTIONS` to a flat-cart document."""
+    arrays = tree["arrays"]
+    if corruption == "ragged_arrays":
+        arrays["mean"] = pack_array(unpack_array(arrays["mean"])[:-1])
+        return
+    feature = unpack_array(arrays["feature"])
+    n = feature.shape[0]
+    i = int(np.flatnonzero(feature != LEAF)[-1])  # the last internal node
+    name, index, value = {
+        "cyclic_left": ("left", i, 0),
+        "right_before_left": ("right", i, i + 1),  # left[i] == i + 1
+        "child_out_of_range": ("right", i, n + 5),
+        "leaf_with_child": ("left", n - 1, 0),  # preorder ends on a leaf
+        "feature_out_of_range": ("feature", i, width),
+    }[corruption]
+    set_element(tree, name, index, value)
+
+
+class TestStructuralChecks:
+    @pytest.fixture()
+    def v3_cart(self, small_pipeline):
+        acic = _trained(small_pipeline, "cart")
+        return artifact_to_dict(ModelArtifact.from_acic(acic))
+
+    @pytest.fixture()
+    def v2_cart(self):
+        path = GOLDEN_V2 / "model-ec2-us-east-performance-cart.json"
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("corruption", CORRUPTIONS)
+    def test_bad_v3_tree_is_refused(self, v3_cart, corruption):
+        corrupt(v3_cart["model"], corruption, len(v3_cart["feature_names"]))
+        with pytest.raises(ArtifactError, match="malformed"):
+            artifact_from_dict(rehash(v3_cart))
+
+    @pytest.mark.parametrize("corruption", CORRUPTIONS)
+    def test_bad_v2_flat_section_is_refused(self, v2_cart, corruption):
+        corrupt(v2_cart["flat"], corruption, len(v2_cart["feature_names"]))
+        with pytest.raises(ArtifactError, match="malformed"):
+            artifact_from_dict(rehash(v2_cart))
+
+    def test_forest_column_out_of_range_is_refused(self, small_pipeline):
+        acic = _trained(small_pipeline, "forest")
+        payload = artifact_to_dict(ModelArtifact.from_acic(acic))
+        member = payload["model"]["trees"][0]
+        columns = unpack_array(member["columns"]).copy()
+        columns[0] = acic.encoder.width
+        member["columns"] = pack_array(columns)
+        with pytest.raises(ArtifactError, match="columns"):
+            artifact_from_dict(rehash(payload))
+
+    def test_forest_member_tree_is_checked(self, small_pipeline):
+        acic = _trained(small_pipeline, "forest")
+        payload = artifact_to_dict(ModelArtifact.from_acic(acic))
+        corrupt(payload["model"]["trees"][0]["tree"], "cyclic_left", 0)
+        with pytest.raises(ArtifactError, match="i < left < right < n"):
+            artifact_from_dict(rehash(payload))
+
+    def test_untouched_documents_still_load(self, v3_cart, v2_cart):
+        artifact_from_dict(rehash(v3_cart))
+        artifact_from_dict(rehash(v2_cart))
 
 
 class TestEncoderSerialization:

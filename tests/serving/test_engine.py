@@ -5,9 +5,21 @@ import pytest
 
 from repro.core.configurator import Acic
 from repro.core.objectives import Goal
+from repro.ml.flat import FlatForest, FlatTree
 from repro.ml.registry import available_learners
 from repro.serving.engine import BatchQueryEngine
 from repro.space.grid import candidate_configs
+
+
+def recommend(engine, chars, top_k):
+    """One query through the engine's only entry point."""
+    return engine.recommend_batch([(chars, top_k)])[0]
+
+
+def scores(engine, chars):
+    """(improvement ratios, candidates) for one query's valid join."""
+    X, candidates = engine._join(chars)
+    return np.exp(engine._predict(X)), candidates
 
 
 @pytest.fixture(scope="module")
@@ -34,29 +46,34 @@ class TestIdentity:
         ).train()
         engine = BatchQueryEngine(acic)
         for top_k in (1, 3, 10):
-            assert engine.recommend(simple_chars, top_k) == acic.recommend(
+            assert recommend(engine, simple_chars, top_k) == acic.recommend(
                 simple_chars, top_k
             )
 
     def test_matches_on_posix_workload(self, trained, posix_chars):
         engine = BatchQueryEngine(trained)
-        assert engine.recommend(posix_chars, top_k=5) == trained.recommend(
+        assert recommend(engine, posix_chars, 5) == trained.recommend(
             posix_chars, top_k=5
         )
 
     def test_co_champions_match(self, trained, simple_chars):
         engine = BatchQueryEngine(trained)
-        assert engine.co_champions(simple_chars) == trained.co_champions(simple_chars)
+        ranked = recommend(engine, simple_chars, len(engine.candidates))
+        first_group = sorted(
+            (r.config for r in ranked if r.co_champion_group == 1),
+            key=lambda config: config.key,
+        )
+        assert first_group == trained.co_champions(simple_chars)
 
     def test_scores_match_exactly(self, trained, simple_chars):
         engine = BatchQueryEngine(trained)
-        scores, candidates = engine.score(simple_chars)
+        batch, candidates = scores(engine, simple_chars)
         sequential = trained.score_candidates(simple_chars, candidates)
-        np.testing.assert_array_equal(scores, sequential)
+        assert batch.tobytes() == sequential.tobytes()
 
     def test_valid_candidates_match_grid(self, trained, posix_chars):
         engine = BatchQueryEngine(trained)
-        _, candidates = engine.score(posix_chars)
+        _, candidates = engine._join(posix_chars)
         assert candidates == candidate_configs(posix_chars)
 
 
@@ -65,7 +82,7 @@ class TestBatch:
         engine = BatchQueryEngine(trained)
         queries = [(simple_chars, 1), (posix_chars, 3), (simple_chars, 10)]
         batched = engine.recommend_batch(queries)
-        assert batched == [engine.recommend(chars, k) for chars, k in queries]
+        assert batched == [recommend(engine, chars, k) for chars, k in queries]
 
     def test_batch_equals_sequential_acic(self, trained, simple_chars, posix_chars):
         engine = BatchQueryEngine(trained)
@@ -88,7 +105,7 @@ class TestConstruction:
         subset = candidate_configs()[:8]
         engine = BatchQueryEngine(trained, candidates=subset)
         keys = {config.key for config in subset}
-        for rec in engine.recommend(simple_chars, top_k=5):
+        for rec in recommend(engine, simple_chars, 5):
             assert rec.config.key in keys
 
     def test_base_matrix_covers_all_candidates(self, trained):
@@ -105,16 +122,15 @@ class TestEmptyShapes:
 
     def test_empty_candidate_set_scores_empty(self, trained, simple_chars):
         engine = BatchQueryEngine(trained, candidates=[])
-        scores, candidates = engine.score(simple_chars)
-        assert scores.shape == (0,) and scores.dtype == float
+        predicted, candidates = scores(engine, simple_chars)
+        assert predicted.shape == (0,) and predicted.dtype == float
         assert candidates == []
 
     def test_empty_candidate_set_recommends_nothing(
         self, trained, simple_chars
     ):
         engine = BatchQueryEngine(trained, candidates=[])
-        assert engine.recommend(simple_chars, top_k=3) == []
-        assert engine.co_champions(simple_chars) == []
+        assert recommend(engine, simple_chars, 3) == []
 
     def test_empty_candidate_set_batch(self, trained, simple_chars):
         engine = BatchQueryEngine(trained, candidates=[])
@@ -128,15 +144,25 @@ class TestEngineKinds:
     def test_flat_engine_matches_legacy_engine_exactly(
         self, trained, simple_chars, posix_chars
     ):
-        flat = BatchQueryEngine(trained, use_flat=True)
-        legacy = BatchQueryEngine(trained, use_flat=False)
-        assert flat.engine_kind == "flat"
-        assert legacy.engine_kind == "tree"
+        """The packed engine against the object-tree walk of Acic.recommend."""
+        engine = BatchQueryEngine(trained)
+        assert isinstance(engine._predictor, FlatTree)
         queries = [(simple_chars, 3), (posix_chars, 2)]
-        assert flat.recommend_batch(queries) == legacy.recommend_batch(queries)
-        flat_scores, _ = flat.score(simple_chars)
-        legacy_scores, _ = legacy.score(simple_chars)
-        assert flat_scores.tobytes() == legacy_scores.tobytes()
+        assert engine.recommend_batch(queries) == [
+            trained.recommend(chars, k) for chars, k in queries
+        ]
+        batch, candidates = scores(engine, simple_chars)
+        sequential = trained.score_candidates(simple_chars, candidates)
+        assert batch.tobytes() == sequential.tobytes()
+
+    def test_forest_engine_predicts_packed(self, small_pipeline):
+        screening, database = small_pipeline
+        acic = Acic(
+            database,
+            learner_name="forest",
+            feature_names=tuple(screening.ranked_names()[:5]),
+        ).train()
+        assert isinstance(BatchQueryEngine(acic)._predictor, FlatForest)
 
     def test_unflattenable_learner_serves_as_tree(self, small_pipeline):
         screening, database = small_pipeline
@@ -145,4 +171,4 @@ class TestEngineKinds:
             learner_name="knn",
             feature_names=tuple(screening.ranked_names()[:5]),
         ).train()
-        assert BatchQueryEngine(acic, use_flat=True).engine_kind == "tree"
+        assert BatchQueryEngine(acic)._predictor is acic.model
